@@ -133,10 +133,13 @@ echo "== crypto batch-speedup gate =="
 # must beat the scalar MODP-1024 baseline workload (the recorded ~93 ms
 # op, re-measured in the same fresh run above) by at least
 # WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN (default 2.0x — the fold path measures
-# ~3.3x at recording time, leaving headroom for machine noise) — and the
-# batched routes must reproduce the scalar keys bit for bit at every
-# thread width. The thread cap is read once per process, so each width
-# runs its own equivalence-only process.
+# ~3.3x at recording time, leaving headroom for machine noise). And at
+# every thread width, on MODP-1024 and on the fleet group, the production
+# agreement (every OT round on the batch executor) must reproduce the
+# scalar-OT reference agreement bit for bit: key, RNG end states and the
+# 48-instance OT wire bytes, plus the spawn_many-pooled fleet keys. The
+# thread cap is read once per process, so each width runs its own
+# equivalence-only process.
 BATCH_MIN="${WAVEKEY_CRYPTO_BATCH_SPEEDUP_MIN:-2.0}"
 scalar48=$(mean_of "ot_batch48_three_rounds" "$fresh")
 batched48=$(mean_of "ot_batch48_three_rounds_wavekey1024_batched" "$fresh")
@@ -149,7 +152,7 @@ for t in 1 2 4; do
     eq=$(field_of "keys_bit_identical" "$EQ_JSON")
     echo "WAVEKEY_THREADS=$t: keys_bit_identical=$eq"
     [[ "$eq" == "true" ]] \
-        || { echo "FAIL: batched crypto keys diverge from the scalar route at $t threads" >&2; exit 1; }
+        || { echo "FAIL: production agreement diverges from the scalar-OT reference at $t threads" >&2; exit 1; }
 done
 awk -v scalar="$scalar48" -v batched="$batched48" -v min="$BATCH_MIN" 'BEGIN {
     speedup = scalar / batched

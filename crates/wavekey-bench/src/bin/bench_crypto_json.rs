@@ -16,8 +16,10 @@
 //! `{ "op": str, "mean_ns": float, "iters": int, "throughput_per_s": float }`,
 //! with `*_amortized` ops reporting per-item cost (total / batch size),
 //! plus one trailing equivalence record
-//! (`{"op": "fleet_batch48_equivalence", "keys_bit_identical": bool, ...}`)
-//! asserting the batched routes reproduce the scalar keys bit for bit.
+//! (`{"op": "batch_route_equivalence", "keys_bit_identical": bool, ...}`)
+//! asserting that the production agreement (every OT round on the batch
+//! executor) reproduces the scalar-OT reference agreement bit for bit,
+//! on MODP-1024 and on the fleet group.
 //!
 //! `--equivalence-only` skips all timing and writes just the equivalence
 //! record — the CI batch gate runs it once per `WAVEKEY_THREADS` setting
@@ -29,6 +31,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 use wavekey_core::agreement::{run_agreement, AgreementConfig};
 use wavekey_core::channel::PassiveChannel;
+use wavekey_core::reference;
 use wavekey_core::SessionManager;
 use wavekey_crypto::batch::ModexpBatch;
 use wavekey_crypto::bigint::Ubig;
@@ -104,19 +107,17 @@ fn ot48(group: &DhGroup, batched: bool) -> (Vec<u8>, Vec<u8>, Vec<u8>, Vec<Vec<u
     }
 }
 
-/// The fleet deployment config: WAVEKEY-1024 group, batch-routed OT.
-fn fleet_config(batched: bool) -> AgreementConfig {
-    AgreementConfig { fleet_group: true, batched_crypto: batched, tau: 10.0, ..Default::default() }
+/// The fleet deployment config: the WAVEKEY-1024 group.
+fn fleet_config() -> AgreementConfig {
+    AgreementConfig { fleet_group: true, tau: 10.0, ..Default::default() }
 }
 
 /// Runs `n` identical-seed agreements through `spawn_many` (pooling the
 /// start round across sessions) and returns per-session keys.
-fn fleet_spawn_many(n: usize, s: &[bool], batched: bool) -> Vec<Vec<u8>> {
-    let config = fleet_config(batched);
+fn fleet_spawn_many(n: usize, s: &[bool]) -> Vec<Vec<u8>> {
+    let config = fleet_config();
     let seeds: Vec<_> = (0..n).map(|_| (s.to_vec(), s.to_vec())).collect();
-    let rngs: Vec<_> = (0..n as u64)
-        .map(|i| (StdRng::seed_from_u64(31 + i), StdRng::seed_from_u64(1031 + i)))
-        .collect();
+    let rngs: Vec<_> = (0..n as u64).map(spawn_rngs).collect();
     let mut manager = SessionManager::new(8);
     let mut adversary = PassiveChannel;
     let ids = manager.spawn_many(&seeds, &config, rngs, &mut adversary).expect("spawn_many");
@@ -129,33 +130,52 @@ fn fleet_spawn_many(n: usize, s: &[bool], batched: bool) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The batched routes must reproduce the scalar keys bit for bit: OT wire
-/// messages and payloads, full-agreement keys, and `spawn_many`-pooled
-/// keys, all on the fleet group where the fold path is live.
-fn equivalence_check(s: &[bool]) -> bool {
-    let fleet = DhGroup::wavekey_1024_shared();
-    let mut ok = ot48(fleet, false) == ot48(fleet, true);
+/// The mobile/server RNGs of session `i` in [`fleet_spawn_many`].
+fn spawn_rngs(i: u64) -> (StdRng, StdRng) {
+    (StdRng::seed_from_u64(31 + i), StdRng::seed_from_u64(1031 + i))
+}
 
-    let run = |config: &AgreementConfig| {
-        let mut rng_m = StdRng::seed_from_u64(31);
-        let mut rng_s = StdRng::seed_from_u64(32);
-        run_agreement(s, s, config, &mut rng_m, &mut rng_s, &mut PassiveChannel)
-            .expect("fleet agreement")
-            .key
+/// The production agreement and the scalar-OT reference agreement with
+/// the same seeds and RNGs must agree bit for bit: the 48-instance OT
+/// wire messages and payloads, the lockstep `run_agreement` key and both
+/// RNG end states, and on the fleet group the `spawn_many`-pooled keys.
+fn equivalence_check(config: &AgreementConfig, s: &[bool]) -> bool {
+    let group = if config.fleet_group {
+        DhGroup::wavekey_1024_shared()
+    } else {
+        DhGroup::modp_1024_shared()
     };
-    ok &= run(&fleet_config(true)) == run(&fleet_config(false));
-    ok &= fleet_spawn_many(4, s, true) == fleet_spawn_many(4, s, false);
+    let (mut rng_m, mut rng_s) = spawn_rngs(0);
+    let (mut ref_m, mut ref_s) = spawn_rngs(0);
+    let production =
+        run_agreement(s, s, config, &mut rng_m, &mut rng_s, &mut PassiveChannel).map(|o| o.key);
+    let reference = reference::run_agreement(s, s, config, &mut ref_m, &mut ref_s).map(|o| o.key);
+    let mut ok = reference.is_ok()
+        && production == reference
+        && rng_m.gen::<u64>() == ref_m.gen::<u64>()
+        && rng_s.gen::<u64>() == ref_s.gen::<u64>()
+        && ot48(group, false) == ot48(group, true);
+    if config.fleet_group {
+        let pooled = fleet_spawn_many(4, s);
+        ok &= (0..4u64).zip(&pooled).all(|(i, key)| {
+            let (mut rm, mut rs) = spawn_rngs(i);
+            reference::run_agreement(s, s, config, &mut rm, &mut rs).map(|o| o.key).as_ref()
+                == Ok(key)
+        });
+    }
     ok
 }
 
 fn equivalence_record(s: &[bool]) -> (bool, String) {
-    let identical = equivalence_check(s);
+    let modp = equivalence_check(&AgreementConfig { tau: 10.0, ..Default::default() }, s);
+    let fleet = equivalence_check(&fleet_config(), s);
+    let identical = modp && fleet;
     let threads = std::env::var("WAVEKEY_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(0);
     let record = format!(
-        "{{\"op\": \"fleet_batch48_equivalence\", \"keys_bit_identical\": {identical}, \"wavekey_threads\": {threads}}}"
+        "{{\"op\": \"batch_route_equivalence\", \"keys_bit_identical\": {identical}, \"modp1024_identical\": {modp}, \"fleet_identical\": {fleet}, \"wavekey_threads\": {threads}}}"
     );
     (identical, record)
 }
@@ -257,12 +277,12 @@ fn main() {
     // remaining OT rounds batched within each session).
     for n in [1usize, 4, 16, 48, 128] {
         samples.push(time_op_amortized(&format!("fleet_agreement_batch{n}_amortized"), n, || {
-            std::hint::black_box(fleet_spawn_many(n, &s, true));
+            std::hint::black_box(fleet_spawn_many(n, &s));
         }));
     }
 
     let (identical, equivalence) = equivalence_record(&s);
-    println!("keys_bit_identical (fleet batched vs scalar)   {identical}");
+    println!("keys_bit_identical (production vs scalar reference)   {identical}");
 
     // Flat JSON array, written by hand: the bench harness must not pull
     // in a serializer for a handful of records.

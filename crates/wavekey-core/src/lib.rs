@@ -23,7 +23,11 @@
 //!   confirmation.
 //! * [`proto`] — sans-IO protocol state machines ([`MobileAgreement`],
 //!   [`ServerAgreement`]) over a framed, versioned wire format; the
-//!   [`agreement`] entry points are a lockstep driver over them.
+//!   [`agreement`] entry points are a lockstep driver over them. Every
+//!   OT round runs through the `wavekey_crypto::batch::ModexpBatch`
+//!   executor.
+//! * [`reference`] — the scalar-OT reference agreement, the oracle the
+//!   machines, `SessionManager` and the gateway are pinned to.
 //! * [`channel`] — the wire-frame channel with pluggable adversaries
 //!   (eavesdropper, MitM, delayer, dropper, version spoofer).
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`]):
@@ -51,6 +55,7 @@ pub mod fault;
 pub mod model;
 pub mod proto;
 pub mod quantize;
+pub mod reference;
 pub mod seed;
 pub mod service;
 pub mod session;

@@ -113,12 +113,7 @@ impl ServerAgreement {
         }
         let t = Instant::now();
         self.y_pairs = random_pairs(self.seed.len(), self.l_b, &mut self.core.rng);
-        let round_a = if self.core.config.batched_crypto {
-            rounds::sender_round_a_batched
-        } else {
-            rounds::sender_round_a
-        };
-        let (sender, ma) = round_a(
+        let (sender, ma) = rounds::sender_round_a(
             self.core.group.get(),
             payload_pairs(&self.y_pairs),
             &mut self.core.rng,
@@ -268,12 +263,7 @@ impl ServerAgreement {
     fn respond_ot_a(&mut self, frame: &Frame, arrival: f64) -> Result<Frame, AgreementError> {
         self.core.arrive(MessageKind::OtA, arrival)?;
         let t = Instant::now();
-        let round_b = if self.core.config.batched_crypto {
-            rounds::receiver_round_b_batched
-        } else {
-            rounds::receiver_round_b
-        };
-        let (receiver, mb) = round_b(
+        let (receiver, mb) = rounds::receiver_round_b(
             self.core.group.get(),
             &self.seed,
             &frame.payload,
@@ -293,12 +283,8 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtB, arrival)?;
         let sender = self.sender.as_ref().expect("sender set in start()");
         let t = Instant::now();
-        let round_e = if self.core.config.batched_crypto {
-            rounds::sender_round_e_batched
-        } else {
-            rounds::sender_round_e
-        };
-        let me = round_e(sender, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let me = rounds::sender_round_e(sender, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         let d = self.core.spend(t);
         self.core.stages.ot_round_e += d;
         self.core.transition(State::OtRound(2));
@@ -311,13 +297,8 @@ impl ServerAgreement {
         self.core.arrive(MessageKind::OtE, arrival)?;
         let receiver = self.receiver.as_ref().expect("receiver set in respond_ot_a");
         let t = Instant::now();
-        let finish = if self.core.config.batched_crypto {
-            rounds::receiver_finish_batched
-        } else {
-            rounds::receiver_finish
-        };
-        let x_received =
-            finish(receiver, self.core.group.get(), &frame.payload).map_err(ot_err)?;
+        let x_received = rounds::receiver_finish(receiver, self.core.group.get(), &frame.payload)
+            .map_err(ot_err)?;
         // K_R = x₁^{sr₁} ‖ y₁^{sr₁} ‖ … (the sequence obliviously
         // received, plus the own pair — both selected by own seed).
         let mut k_r: Vec<bool> = Vec::with_capacity(2 * self.seed.len() * self.l_b);

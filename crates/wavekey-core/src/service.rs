@@ -963,10 +963,9 @@ impl SessionManager {
     /// does, and the batch executor's results equal the scalar route
     /// (asserted by the crypto layer's differential tests).
     ///
-    /// Falls back to per-session [`spawn`](Self::spawn) when batching
-    /// cannot apply — `batched_crypto` off, or the sessions own private
-    /// tiny-test groups (cross-session batches need a process-shared
-    /// group).
+    /// Falls back to per-session [`spawn`](Self::spawn) on the tiny test
+    /// group: those sessions own private groups, and a cross-session
+    /// batch needs a process-shared one.
     ///
     /// # Errors
     ///
@@ -986,7 +985,7 @@ impl SessionManager {
                 rngs.len()
             )));
         }
-        if !config.batched_crypto || config.use_tiny_group {
+        if config.use_tiny_group {
             let mut ids = Vec::with_capacity(seeds.len());
             for ((s_m, s_r), (rng_m, rng_r)) in seeds.iter().zip(rngs) {
                 ids.push(self.spawn(s_m, s_r, config, rng_m, rng_r, adversary)?);
@@ -1531,6 +1530,36 @@ mod tests {
     }
 
     #[test]
+    fn bit_rot_in_a_rotation_record_makes_verification_reject() {
+        let media = MemVolume::new();
+        let config = StoreConfig {
+            // Room for one 32-byte key.
+            memory_ceiling_bytes: wavekey_store::state::TICKET_OVERHEAD_BYTES + 32,
+            ..StoreConfig::default()
+        };
+        let mut svc = service_on(media.clone(), config);
+        let rotated = svc.issue_ticket(TagModel::Alien9640A);
+        let other = svc.issue_ticket(TagModel::Alien9640A);
+        let store = svc.store_mut();
+        store.bind_key(DEFAULT_TENANT, rotated.epc.0, &[1; 32]).unwrap();
+        let rotation_at = store.journal_len().unwrap();
+        store.rotate_key(DEFAULT_TENANT, rotated.epc.0, &[2; 32]).unwrap();
+        let mut image = media.clone();
+        let mut journal = image.read(wavekey_store::JOURNAL_FILE).unwrap().unwrap();
+        journal[rotation_at + 30] ^= 0x01;
+        image.write(wavekey_store::JOURNAL_FILE, &journal).unwrap();
+        // Binding the other ticket evicts the rotated key.
+        svc.store_mut().bind_key(DEFAULT_TENANT, other.epc.0, &[3; 32]).unwrap();
+        assert!(svc.key_for(rotated.epc).is_none());
+        svc.set_obs(Obs::new(std::sync::Arc::new(wavekey_obs::FlightRecorder::new(4))));
+        for old_or_new in [[1u8; 32], [2; 32]] {
+            let mac = wavekey_crypto::hmac_sha256(&old_or_new, b"badge");
+            assert!(!svc.verify_request(rotated.epc, b"badge", &mac));
+        }
+        assert!(svc.obs().prometheus_text().contains("service_verify_store_errors 2"));
+    }
+
+    #[test]
     fn store_counters_reach_the_obs_registry() {
         let media = MemVolume::new();
         let mut svc = service_on(media.clone(), StoreConfig::default());
@@ -1664,40 +1693,51 @@ mod tests {
             .collect()
     }
 
-    /// The tentpole's end-to-end equivalence pin: pooling the fleet's
-    /// start exponentiations into one cross-session batch (and routing
-    /// every OT round through the batch executor) yields keys
-    /// bit-identical to per-session scalar spawning — on the WAVEKEY-1024
-    /// fleet group where the Crandall fold path is live.
+    /// Keys of the same `n` sessions from the scalar-OT reference
+    /// agreement, with the manager's seeds and RNGs.
+    fn keys_via_reference(config: &AgreementConfig, n: u64) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let (s_m, s_r) = seed_pair(100 + i);
+                let mut rng_m = StdRng::seed_from_u64(9000 + i);
+                let mut rng_r = StdRng::seed_from_u64(9900 + i);
+                crate::reference::run_agreement(&s_m, &s_r, config, &mut rng_m, &mut rng_r)
+                    .expect("reference agreement")
+                    .key
+            })
+            .collect()
+    }
+
+    /// Pooling the fleet's start exponentiations into one cross-session
+    /// batch yields the keys of per-session spawning and of the scalar
+    /// reference agreement, bit for bit, on the WAVEKEY-1024 fleet group
+    /// where the Crandall fold path is live.
     #[test]
     fn spawn_many_batched_keys_match_scalar_spawn_loop() {
         let n = 3u64;
-        let batched = AgreementConfig {
+        let fleet = AgreementConfig {
             use_tiny_group: false,
             fleet_group: true,
-            batched_crypto: true,
             tau: 10.0,
             bch_t: 5,
             ..Default::default()
         };
-        let scalar = AgreementConfig { batched_crypto: false, ..batched };
-
-        let pooled = keys_via_spawn_many(&batched, n);
-        let batched_loop = keys_via_spawn_loop(&batched, n);
-        let scalar_loop = keys_via_spawn_loop(&scalar, n);
-        assert_eq!(pooled, batched_loop, "pooled starts change no key");
-        assert_eq!(pooled, scalar_loop, "batched executor matches scalar route bit-for-bit");
+        let pooled = keys_via_spawn_many(&fleet, n);
+        assert_eq!(pooled, keys_via_spawn_loop(&fleet, n), "pooled starts change no key");
+        assert_eq!(pooled, keys_via_reference(&fleet, n), "batch route matches the scalar oracle");
         for key in &pooled {
             assert!(!key.is_empty());
         }
     }
 
-    /// `spawn_many` on a tiny owned group (batching inapplicable) falls
-    /// back to the plain spawn loop, bit-identically.
+    /// `spawn_many` on a tiny owned group (no cross-session pooling)
+    /// falls back to the plain spawn loop, and both match the oracle.
     #[test]
     fn spawn_many_falls_back_for_owned_groups() {
-        let config = AgreementConfig { batched_crypto: true, ..manager_config() };
-        assert_eq!(keys_via_spawn_many(&config, 4), keys_via_spawn_loop(&config, 4));
+        let config = manager_config();
+        let pooled = keys_via_spawn_many(&config, 4);
+        assert_eq!(pooled, keys_via_spawn_loop(&config, 4));
+        assert_eq!(pooled, keys_via_reference(&config, 4));
     }
 
     /// Spawns `n` deterministic benign sessions into a fresh manager.

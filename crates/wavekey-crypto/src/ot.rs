@@ -15,6 +15,14 @@
 //! WaveKey runs `l_s` instances per direction and batches each protocol
 //! round into one message (`M_A`, `M_B`, `M_E`), which this module
 //! mirrors: a batch of instances moves through three batched messages.
+//!
+//! Each phase exists twice. The scalar calls ([`OtSender::start`],
+//! [`OtReceiver::respond`], [`OtSender::encrypt`], [`OtReceiver::decrypt`])
+//! compute one exponentiation at a time and are the reference oracle.
+//! The enqueue/commit halves and their one-shot `*_batched` wrappers
+//! route the same exponentiations through [`ModexpBatch`]; they consume
+//! the RNG identically and produce bit-identical messages, and
+//! [`crate::rounds`] runs every protocol round through them.
 
 use crate::batch::{BatchResults, JobId, ModexpBatch};
 use crate::bigint::Ubig;

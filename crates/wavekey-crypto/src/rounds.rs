@@ -7,6 +7,13 @@
 //! one round from the raw payload bytes of the frame it was handed. These
 //! wrappers bundle the decode + round logic so a single round is drivable
 //! from a frame without the caller ever touching the typed messages.
+//!
+//! Every round runs its exponentiations through the
+//! [`crate::batch::ModexpBatch`] executor; this is the only production
+//! route. The scalar typed calls ([`OtSender::start`],
+//! [`OtSender::encrypt`], [`OtReceiver::respond`],
+//! [`OtReceiver::decrypt`]) stay as the reference oracle: same RNG
+//! consumption, bit-identical wire bytes.
 
 use crate::group::DhGroup;
 use crate::ot::{OtError, OtMessageA, OtMessageB, OtMessageE, OtReceiver, OtSender};
@@ -19,7 +26,7 @@ pub fn sender_round_a(
     secrets: Vec<(Vec<u8>, Vec<u8>)>,
     rng: &mut StdRng,
 ) -> (OtSender, Vec<u8>) {
-    let (sender, msg_a) = OtSender::start(group, secrets, rng);
+    let (sender, msg_a) = OtSender::start_batched(group, secrets, rng);
     let bytes = msg_a.encode(group);
     (sender, bytes)
 }
@@ -38,12 +45,13 @@ pub fn receiver_round_b(
     rng: &mut StdRng,
 ) -> Result<(OtReceiver, Vec<u8>), OtError> {
     let msg_a = OtMessageA::decode(group, ma_bytes)?;
-    let (receiver, msg_b) = OtReceiver::respond(group, choices, &msg_a, rng)?;
+    let (receiver, msg_b) = OtReceiver::respond_batched(group, choices, &msg_a, rng)?;
     Ok((receiver, msg_b.encode(group)))
 }
 
 /// Sender round 3: parses an encoded `M_B` and returns the encoded
-/// ciphertext batch `M_E`.
+/// ciphertext batch `M_E`. The `k¹` derivation is folded into one
+/// interleaved multi-exponentiation (see [`OtSender::encrypt_enqueue`]).
 ///
 /// # Errors
 ///
@@ -55,7 +63,7 @@ pub fn sender_round_e(
     mb_bytes: &[u8],
 ) -> Result<Vec<u8>, OtError> {
     let msg_b = OtMessageB::decode(group, mb_bytes)?;
-    Ok(sender.encrypt(group, &msg_b)?.encode())
+    Ok(sender.encrypt_batched(group, &msg_b)?.encode())
 }
 
 /// Receiver finish: parses an encoded `M_E` and decrypts the chosen
@@ -66,63 +74,6 @@ pub fn sender_round_e(
 /// [`OtError::Malformed`] when `me_bytes` does not parse,
 /// [`OtError::BatchMismatch`] when the batch sizes disagree.
 pub fn receiver_finish(
-    receiver: &OtReceiver,
-    group: &DhGroup,
-    me_bytes: &[u8],
-) -> Result<Vec<Vec<u8>>, OtError> {
-    let msg_e = OtMessageE::decode(me_bytes)?;
-    receiver.decrypt(group, &msg_e)
-}
-
-/// Batch-aware [`sender_round_a`]: identical RNG consumption and wire
-/// bytes, exponentiations routed through the 4-way batch executor.
-pub fn sender_round_a_batched(
-    group: &DhGroup,
-    secrets: Vec<(Vec<u8>, Vec<u8>)>,
-    rng: &mut StdRng,
-) -> (OtSender, Vec<u8>) {
-    let (sender, msg_a) = OtSender::start_batched(group, secrets, rng);
-    let bytes = msg_a.encode(group);
-    (sender, bytes)
-}
-
-/// Batch-aware [`receiver_round_b`].
-///
-/// # Errors
-///
-/// See [`receiver_round_b`].
-pub fn receiver_round_b_batched(
-    group: &DhGroup,
-    choices: &[bool],
-    ma_bytes: &[u8],
-    rng: &mut StdRng,
-) -> Result<(OtReceiver, Vec<u8>), OtError> {
-    let msg_a = OtMessageA::decode(group, ma_bytes)?;
-    let (receiver, msg_b) = OtReceiver::respond_batched(group, choices, &msg_a, rng)?;
-    Ok((receiver, msg_b.encode(group)))
-}
-
-/// Batch-aware [`sender_round_e`]: the `k¹` derivation is folded into an
-/// interleaved multi-exponentiation (see [`OtSender::encrypt_enqueue`]).
-///
-/// # Errors
-///
-/// See [`sender_round_e`].
-pub fn sender_round_e_batched(
-    sender: &OtSender,
-    group: &DhGroup,
-    mb_bytes: &[u8],
-) -> Result<Vec<u8>, OtError> {
-    let msg_b = OtMessageB::decode(group, mb_bytes)?;
-    Ok(sender.encrypt_batched(group, &msg_b)?.encode())
-}
-
-/// Batch-aware [`receiver_finish`].
-///
-/// # Errors
-///
-/// See [`receiver_finish`].
-pub fn receiver_finish_batched(
     receiver: &OtReceiver,
     group: &DhGroup,
     me_bytes: &[u8],
@@ -172,9 +123,10 @@ mod tests {
 
     #[test]
     fn batched_byte_rounds_match_scalar_byte_rounds() {
-        // The batched wrappers must be a drop-in: same seeds, same wire
-        // bytes, on both a Montgomery-only group and the fold-path fleet
-        // group.
+        // The batch-executor byte rounds must be a drop-in for a scalar
+        // byte path (wire decode, scalar typed round, wire encode): same
+        // seeds, same wire bytes, on both a Montgomery-only group and the
+        // fold-path fleet group.
         let tiny = DhGroup::tiny_test_group();
         let wk = DhGroup::wavekey_1024();
         for group in [&tiny, &wk] {
@@ -182,23 +134,30 @@ mod tests {
                 vec![(b"zero-0".to_vec(), b"one--0".to_vec()), (b"zero-1".to_vec(), b"one--1".to_vec())];
             let choices = vec![true, false];
 
+            // Scalar byte path.
             let mut rng_s = StdRng::seed_from_u64(30);
             let mut rng_r = StdRng::seed_from_u64(40);
-            let (sender, ma) = sender_round_a(group, secrets.clone(), &mut rng_s);
-            let (receiver, mb) = receiver_round_b(group, &choices, &ma, &mut rng_r).unwrap();
-            let me = sender_round_e(&sender, group, &mb).unwrap();
-            let out = receiver_finish(&receiver, group, &me).unwrap();
+            let (sender, msg_a) = OtSender::start(group, secrets.clone(), &mut rng_s);
+            let ma = msg_a.encode(group);
+            let msg_a = OtMessageA::decode(group, &ma).unwrap();
+            let (receiver, msg_b) =
+                OtReceiver::respond(group, &choices, &msg_a, &mut rng_r).unwrap();
+            let mb = msg_b.encode(group);
+            let msg_b = OtMessageB::decode(group, &mb).unwrap();
+            let me = sender.encrypt(group, &msg_b).unwrap().encode();
+            let msg_e = OtMessageE::decode(&me).unwrap();
+            let out = receiver.decrypt(group, &msg_e).unwrap();
 
+            // Batched byte rounds.
             let mut rng_s = StdRng::seed_from_u64(30);
             let mut rng_r = StdRng::seed_from_u64(40);
-            let (sender_b, ma_b) = sender_round_a_batched(group, secrets, &mut rng_s);
+            let (sender_b, ma_b) = sender_round_a(group, secrets, &mut rng_s);
             assert_eq!(ma_b, ma);
-            let (receiver_b, mb_b) =
-                receiver_round_b_batched(group, &choices, &ma_b, &mut rng_r).unwrap();
+            let (receiver_b, mb_b) = receiver_round_b(group, &choices, &ma_b, &mut rng_r).unwrap();
             assert_eq!(mb_b, mb);
-            let me_b = sender_round_e_batched(&sender_b, group, &mb_b).unwrap();
+            let me_b = sender_round_e(&sender_b, group, &mb_b).unwrap();
             assert_eq!(me_b, me);
-            let out_b = receiver_finish_batched(&receiver_b, group, &me_b).unwrap();
+            let out_b = receiver_finish(&receiver_b, group, &me_b).unwrap();
             assert_eq!(out_b, out);
         }
     }

@@ -294,7 +294,7 @@ impl GatewayInner {
 async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
     // Pooled start batch: only group-shared configs can cross-batch
     // (tiny test groups are per-machine — same rule as `spawn_many`).
-    let batching = gw.config.agreement.batched_crypto && !gw.config.agreement.use_tiny_group;
+    let batching = !gw.config.agreement.use_tiny_group;
     let mut batch: ModexpBatch<'static> = ModexpBatch::new();
     let mut pending: Vec<PendingStart> = Vec::new();
     loop {
@@ -353,9 +353,6 @@ async fn accept_loop(gw: Arc<GatewayInner>, handle: Handle, net: SimNet) {
                     }
                     continue;
                 }
-                // Inapplicable after all (owned group): fall through to
-                // the scalar start.
-                Err(AgreementError::Config(_)) => {}
                 Err(err) => {
                     fail_before_start(&gw, &stream, &scope, err);
                     continue;
@@ -628,6 +625,17 @@ mod tests {
 
     fn mobile_rng(conn_id: u64) -> StdRng {
         StdRng::seed_from_u64(0x0B11_E000 + conn_id)
+    }
+
+    /// The scalar-OT reference agreement's key for session `conn_id`,
+    /// with the seeds and RNGs the gateway test fleet uses.
+    fn reference_key(agreement: &AgreementConfig, server_seed: u64, conn_id: u64) -> Vec<u8> {
+        let (s_m, s_r) = seed_pair(conn_id);
+        let mut rng_m = mobile_rng(conn_id);
+        let mut rng_r = server_rng(server_seed, conn_id);
+        wavekey_core::reference::run_agreement(&s_m, &s_r, agreement, &mut rng_m, &mut rng_r)
+            .expect("reference agreement")
+            .key
     }
 
     fn gateway_config() -> GatewayConfig {
@@ -965,30 +973,40 @@ mod tests {
 
     #[test]
     fn pooled_start_batching_matches_scalar_starts_on_the_fleet_group() {
-        // Real group, so the cross-session ModexpBatch path is live.
+        // Real group, so the cross-session ModexpBatch path is live. Two
+        // starts pool per batch; every key must equal the scalar-OT
+        // reference agreement with the same seeds and RNGs.
         let fleet = AgreementConfig {
             use_tiny_group: false,
             fleet_group: true,
-            batched_crypto: true,
             tau: 10.0,
             bch_t: 5,
             ..Default::default()
         };
-        let scalar = AgreementConfig { batched_crypto: false, ..fleet.clone() };
-        let batched_cfg =
-            GatewayConfig { batch_max: 2, ..GatewayConfig::new(fleet) };
-        let scalar_cfg = GatewayConfig::new(scalar);
-        let (batched, gw) = run_fleet(batched_cfg, Obs::disabled(), 3, |_| StreamFaults::none());
-        let (plain, _) = run_fleet(scalar_cfg, Obs::disabled(), 3, |_| StreamFaults::none());
+        let config = GatewayConfig { batch_max: 2, ..GatewayConfig::new(fleet) };
+        let server_seed = config.server_seed;
+        let (clients, gw) = run_fleet(config, Obs::disabled(), 3, |_| StreamFaults::none());
         assert_eq!(gw.table().completed(), 3);
-        for ((id_a, a), (id_b, b)) in batched.iter().zip(plain.iter()) {
-            assert_eq!(id_a, id_b);
-            assert_eq!(
-                a.as_ref().expect("batched"),
-                b.as_ref().expect("scalar"),
-                "pooling starts must not change keys"
-            );
+        for (conn_id, got) in clients {
+            assert_eq!(got.expect("pooled session"), reference_key(&fleet, server_seed, conn_id));
         }
+    }
+
+    #[test]
+    fn single_session_yields_the_reference_key() {
+        // One connection on the production group: no pooling partner, a
+        // start batch of one, then every OT round on the batch route.
+        let config = GatewayConfig::new(AgreementConfig { tau: 10.0, ..Default::default() });
+        let agreement = config.agreement;
+        let server_seed = config.server_seed;
+        let (clients, gw) = run_fleet(config, Obs::disabled(), 1, |_| StreamFaults::none());
+        let [(conn_id, got)] = clients.try_into().expect("one client");
+        let key = got.expect("session key");
+        let Some(SessionOutcome::Done(server_key)) = gw.table().outcome(conn_id) else {
+            panic!("no Done outcome for {conn_id}");
+        };
+        assert_eq!(server_key, key);
+        assert_eq!(key, reference_key(&agreement, server_seed, conn_id));
     }
 
     #[test]

@@ -300,25 +300,20 @@ impl StoreState {
         out
     }
 
-    /// The least-recently-accessed resident key, excluding `protect`.
-    /// Returns `(tenant, epc)` or `None` if nothing is evictable.
-    pub fn lru_resident(&self, protect: Option<(u64, [u8; 12])>) -> Option<(u64, [u8; 12])> {
-        let mut best: Option<(u64, [u8; 12], u64)> = None;
+    /// Every resident key except `protect`, least recently accessed
+    /// first; equal stamps keep iteration order, so eviction victims are
+    /// deterministic.
+    pub fn lru_resident(&self, protect: Option<(u64, [u8; 12])>) -> Vec<(u64, [u8; 12])> {
+        let mut resident: Vec<(u64, u64, [u8; 12])> = Vec::new();
         for (id, t) in &self.tenants {
             for (epc, ticket) in t.tickets() {
-                if ticket.key.is_none() {
-                    continue;
-                }
-                if protect == Some((*id, *epc)) {
-                    continue;
-                }
-                let stamp = ticket.last_access;
-                if best.map(|(_, _, s)| stamp < s).unwrap_or(true) {
-                    best = Some((*id, *epc, stamp));
+                if ticket.key.is_some() && protect != Some((*id, *epc)) {
+                    resident.push((ticket.last_access, *id, *epc));
                 }
             }
         }
-        best.map(|(id, epc, _)| (id, epc))
+        resident.sort_by_key(|&(stamp, _, _)| stamp);
+        resident.into_iter().map(|(_, id, epc)| (id, epc)).collect()
     }
 
     /// Refill every tenant's enrolment tokens by its quota's refill rate.
@@ -673,7 +668,7 @@ mod tests {
         s.ticket_mut(1, &epc(0)).unwrap().last_access = 5;
         s.ticket_mut(1, &epc(1)).unwrap().last_access = 2;
         s.ticket_mut(1, &epc(2)).unwrap().last_access = 9;
-        assert_eq!(s.lru_resident(None), Some((1, epc(1))));
-        assert_eq!(s.lru_resident(Some((1, epc(1)))), Some((1, epc(0))));
+        assert_eq!(s.lru_resident(None), vec![(1, epc(1)), (1, epc(0)), (1, epc(2))]);
+        assert_eq!(s.lru_resident(Some((1, epc(1)))), vec![(1, epc(0)), (1, epc(2))]);
     }
 }

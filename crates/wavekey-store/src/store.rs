@@ -10,7 +10,8 @@
 //!
 //! Read path: `key_for` stamps LRU clocks and transparently reloads keys
 //! that were evicted under the memory ceiling, via a targeted
-//! snapshot+journal scan.
+//! snapshot+journal scan that only accepts a key carrying its ticket's
+//! current generation. The ceiling holds from `open` on.
 //!
 //! Recovery: `open` loads the snapshot (if any), replays the journal tail,
 //! repairs torn tails by truncation, and — only in salvage mode — truncates
@@ -171,7 +172,8 @@ impl DurableStore {
         self.next_seq = last_seq + 1;
         self.appends_since_snapshot = 0;
         self.stats.replays += 1;
-        Ok(())
+        // Replay makes every key resident; the ceiling holds from open.
+        self.enforce_ceiling(None)
     }
 
     /// Append one record durably, then fold it into memory. On a media
@@ -370,7 +372,7 @@ impl DurableStore {
             Some(t) if t.evicted && !t.revoked
         );
         if needs_reload {
-            self.reload_key(tenant, epc)?;
+            self.reload(&[(tenant, epc)])?;
             // The reloaded key is the most recently used — protect it while
             // re-enforcing the ceiling.
             self.enforce_ceiling(Some((tenant, epc)))?;
@@ -392,18 +394,27 @@ impl DurableStore {
             .and_then(|t| t.key.as_deref())
     }
 
-    /// Reload one evicted key by scanning snapshot + journal for the last
-    /// key event of this (tenant, epc).
-    fn reload_key(&mut self, tenant: u64, epc: [u8; 12]) -> Result<(), StoreError> {
-        let mut found: Option<(u32, Vec<u8>)> = None;
+    /// Refill the evicted keys `wanted` (sorted) from one snapshot read
+    /// and one journal replay, taking each ticket's last key event.
+    ///
+    /// The in-memory state is authoritative for a ticket's generation, so
+    /// a key is installed only if it carries that generation. Bit rot in
+    /// a later key record stops replay early (or, in the last record,
+    /// reads as a torn tail) and would otherwise surface a rotated-away
+    /// key; instead the reload fails with [`StoreError::Corrupted`] at
+    /// the damage offset (the end of the readable journal when the tail
+    /// is clean) and the ticket stays evicted.
+    fn reload(&mut self, wanted: &[(u64, [u8; 12])]) -> Result<(), StoreError> {
+        let slot = |tenant: u64, epc: &[u8; 12]| wanted.binary_search(&(tenant, *epc)).ok();
+        let mut found: Vec<Option<(u32, Vec<u8>)>> = vec![None; wanted.len()];
         if let Some(snap) = self.volume.read(SNAPSHOT_FILE)? {
             let (_, state_bytes) =
                 decode_snapshot(&snap).map_err(StoreError::SnapshotCorrupted)?;
             let snap_state =
                 StoreState::deserialize(&state_bytes).map_err(StoreError::SnapshotCorrupted)?;
-            if let Some(t) = snap_state.ticket(tenant, &epc) {
-                if let Some(k) = &t.key {
-                    found = Some((t.generation, k.clone()));
+            for ((tenant, epc), found) in wanted.iter().zip(found.iter_mut()) {
+                if let Some(t) = snap_state.ticket(*tenant, epc) {
+                    *found = t.key.clone().map(|k| (t.generation, k));
                 }
             }
         }
@@ -414,51 +425,49 @@ impl DurableStore {
                 continue;
             }
             match &rec.body {
-                RecordBody::KeyBound {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
+                RecordBody::KeyBound { tenant, epc, generation, key }
+                | RecordBody::KeyRotated { tenant, epc, generation, key }
+                | RecordBody::ReEnrolled { tenant, epc, generation, key } => {
+                    if let Some(i) = slot(*tenant, epc) {
+                        found[i] = Some((*generation, key.clone()));
+                    }
                 }
-                | RecordBody::KeyRotated {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
-                }
-                | RecordBody::ReEnrolled {
-                    tenant: t,
-                    epc: e,
-                    generation,
-                    key,
-                } if *t == tenant && *e == epc => {
-                    found = Some((*generation, key.clone()));
-                }
-                RecordBody::TicketRevoked { tenant: t, epc: e } if *t == tenant && *e == epc => {
-                    found = None;
+                RecordBody::TicketRevoked { tenant, epc } => {
+                    if let Some(i) = slot(*tenant, epc) {
+                        found[i] = None;
+                    }
                 }
                 _ => {}
             }
         }
-        if let Some((_, key)) = found {
-            self.state.set_key(tenant, &epc, Some(key), false);
-            self.stats.reloads += 1;
-        } else if let Some(t) = self.state.ticket_mut(tenant, &epc) {
-            // Nothing reloadable (e.g. revoked meanwhile): clear the flag.
-            t.evicted = false;
+        let offset = match replayed.tail {
+            TailStatus::Clean => replayed.consumed,
+            TailStatus::TornTail { offset } | TailStatus::Corrupted { offset } => offset,
+        };
+        for (&(tenant, epc), found) in wanted.iter().zip(found) {
+            let current = self.state.ticket(tenant, &epc).map(|t| t.generation);
+            match found {
+                Some((generation, key)) if Some(generation) == current => {
+                    self.state.set_key(tenant, &epc, Some(key), false);
+                    self.stats.reloads += 1;
+                }
+                _ => return Err(StoreError::Corrupted { offset }),
+            }
         }
         Ok(())
     }
 
-    /// Evict least-recently-used resident keys until under the ceiling.
+    /// Evict least-recently-used resident keys until under the ceiling,
+    /// in one pass over the tickets.
     fn enforce_ceiling(&mut self, protect: Option<(u64, [u8; 12])>) -> Result<(), StoreError> {
-        if self.config.memory_ceiling_bytes == 0 {
+        let ceiling = self.config.memory_ceiling_bytes;
+        if ceiling == 0 || self.state.resident_bytes() <= ceiling {
             return Ok(());
         }
-        while self.state.resident_bytes() > self.config.memory_ceiling_bytes {
-            let Some((tenant, epc)) = self.state.lru_resident(protect) else {
+        for (tenant, epc) in self.state.lru_resident(protect) {
+            if self.state.resident_bytes() <= ceiling {
                 break;
-            };
+            }
             self.state.set_key(tenant, &epc, None, true);
             self.stats.evictions_memory += 1;
         }
@@ -499,13 +508,15 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Reload every evicted key (used before snapshots and full-state
-    /// comparisons).
+    /// Reload every evicted key from a single snapshot-plus-journal
+    /// replay (used before snapshots and full-state comparisons).
     pub fn hydrate_all(&mut self) -> Result<(), StoreError> {
-        for (tenant, epc) in self.state.evicted_epcs() {
-            self.reload_key(tenant, epc)?;
+        let mut evicted = self.state.evicted_epcs();
+        if evicted.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        evicted.sort_unstable();
+        self.reload(&evicted)
     }
 
     // ------------------------------------------------------------------
@@ -770,6 +781,123 @@ mod tests {
         // Rotate the *evicted* ticket: journal gains a newer generation.
         store.rotate_key(t, epc(1), &key(0xEE)).unwrap();
         assert_eq!(store.key_for(t, epc(1)).unwrap(), Some(&key(0xEE)[..]));
+    }
+
+    #[test]
+    fn bit_rot_in_a_later_rotation_never_reloads_the_older_key() {
+        let media = MemVolume::new();
+        let config = StoreConfig {
+            memory_ceiling_bytes: TICKET_OVERHEAD_BYTES + 32, // exactly 1 key
+            ..StoreConfig::default()
+        };
+        let mut store = DurableStore::open(Box::new(media.clone()), config).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        store.issue(t, epc(1), 1).unwrap();
+        store.issue(t, epc(2), 1).unwrap();
+        store.bind_key(t, epc(1), &key(1)).unwrap();
+        let rotation_at = store.journal_len().unwrap();
+        assert_eq!(store.rotate_key(t, epc(1), &key(0xEE)).unwrap(), 2);
+        // Rot one payload byte of the generation-2 record, then evict it.
+        let mut image = media.clone();
+        let mut j = image.read(JOURNAL_FILE).unwrap().unwrap();
+        j[rotation_at + crate::record::HEADER_LEN + 20] ^= 0x10;
+        image.write(JOURNAL_FILE, &j).unwrap();
+        store.bind_key(t, epc(2), &key(2)).unwrap(); // evicts epc(1)
+        assert_eq!(store.peek_key(t, epc(1)), None);
+        // The readable journal ends in the generation-1 key: refuse it.
+        assert_eq!(
+            store.key_for(t, epc(1)),
+            Err(StoreError::Corrupted { offset: rotation_at })
+        );
+        assert_eq!(store.peek_key(t, epc(1)), None, "nothing was installed");
+        assert_eq!(store.stats().reloads, 0);
+        assert!(matches!(store.full_digest(), Err(StoreError::Corrupted { .. })));
+    }
+
+    /// Counts journal reads through a shared handle.
+    struct CountingVolume {
+        inner: MemVolume,
+        journal_reads: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Volume for CountingVolume {
+        fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
+            if name == JOURNAL_FILE {
+                self.journal_reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            self.inner.read(name)
+        }
+        fn write(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.write(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+            self.inner.append(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: usize) -> Result<(), StoreError> {
+            self.inner.truncate(name, len)
+        }
+        fn rename(&mut self, from: &str, to: &str) -> Result<(), StoreError> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&mut self, name: &str) -> Result<(), StoreError> {
+            self.inner.remove(name)
+        }
+        fn len(&self, name: &str) -> Result<usize, StoreError> {
+            self.inner.len(name)
+        }
+    }
+
+    #[test]
+    fn hydrate_all_is_one_replay_and_keeps_the_digest() {
+        let unlimited = MemVolume::new();
+        let mut reference =
+            DurableStore::open(Box::new(unlimited.clone()), StoreConfig::default()).unwrap();
+        let t = reference.create_tenant(TenantQuota::unlimited()).unwrap();
+        for i in 0..40u8 {
+            reference.issue(t, epc(i), 1).unwrap();
+            reference.bind_key(t, epc(i), &key(i)).unwrap();
+            reference.rotate_key(t, epc(i), &key(i ^ 0x80)).unwrap();
+        }
+        let digest = reference.full_digest().unwrap();
+
+        let config = StoreConfig { memory_ceiling_bytes: 2_048, ..StoreConfig::default() };
+        let reads = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let volume = CountingVolume { inner: unlimited.deep_clone(), journal_reads: reads.clone() };
+        let mut store = DurableStore::open(Box::new(volume), config).unwrap();
+        let evicted = store.state().evicted_epcs().len();
+        assert_eq!(evicted, 40 - 2_048 / (TICKET_OVERHEAD_BYTES + 32), "evicted at open");
+        let before = reads.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(store.full_digest().unwrap(), digest, "digest is byte-identical");
+        assert_eq!(reads.load(std::sync::atomic::Ordering::Relaxed) - before, 1, "one replay");
+        assert_eq!(store.stats().reloads, evicted as u64);
+        assert!(store.state().evicted_epcs().is_empty());
+    }
+
+    #[test]
+    fn open_enforces_the_memory_ceiling() {
+        let media = MemVolume::new();
+        let mut store =
+            DurableStore::open(Box::new(media.clone()), StoreConfig::default()).unwrap();
+        let t = store.create_tenant(TenantQuota::unlimited()).unwrap();
+        for i in 0..100u8 {
+            store.issue(t, epc(i), 1).unwrap();
+            store.bind_key(t, epc(i), &key(i)).unwrap();
+        }
+        let digest = store.full_digest().unwrap();
+        drop(store);
+
+        let config = StoreConfig { memory_ceiling_bytes: 2_048, ..StoreConfig::default() };
+        let mut back = DurableStore::open(Box::new(media.deep_clone()), config).unwrap();
+        assert!(back.state().resident_bytes() <= config.memory_ceiling_bytes);
+        assert_eq!(
+            back.stats().evictions_memory as usize,
+            100 - config.memory_ceiling_bytes / (TICKET_OVERHEAD_BYTES + 32)
+        );
+        for i in [0u8, 57, 99] {
+            assert_eq!(back.key_for(t, epc(i)).unwrap(), Some(&key(i)[..]));
+            assert!(back.state().resident_bytes() <= config.memory_ceiling_bytes);
+        }
+        assert_eq!(back.full_digest().unwrap(), digest);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Differential test: the sans-IO state-machine lockstep driver must be
-//! bit-identical to the monolithic key agreement it replaced.
+//! Differential test: the sans-IO state-machine lockstep driver, whose
+//! OT rounds run on the `ModexpBatch` executor, must be bit-identical to
+//! the monolithic key agreement it replaced.
 //!
-//! `reference_agreement` below is a self-contained reimplementation of
-//! the pre-refactor protocol body (typed OT calls, identical RNG draw
-//! order: pairs → sender exponents → respond exponents → commit → nonce)
-//! with the channel and timing stripped — on a benign channel those
-//! cannot influence keys. Every session compares:
+//! The oracle is `wavekey::core::reference::run_agreement`: the
+//! pre-refactor protocol body on the scalar typed OT calls, with
+//! identical RNG draw order (pairs → sender exponents → respond
+//! exponents → commit → nonce) and the channel and timing stripped — on
+//! a benign channel those cannot influence keys. Every session compares:
 //!
 //! * success/failure verdicts and error values,
 //! * the established key bytes and bits,
@@ -17,17 +18,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wavekey::core::agreement::{run_agreement, AgreementConfig, AgreementError};
-use wavekey::core::bits::{
-    deinterleave, hamming_distance, interleave, pack_bits, unpack_bits,
-};
+use wavekey::core::bits::{pack_bits, unpack_bits};
 use wavekey::core::channel::{Delayer, Dropper, MessageKind, PassiveChannel};
-use wavekey::crypto::ecc::{Bch, CodeOffset};
+use wavekey::core::reference::run_agreement as reference_agreement;
 use wavekey::crypto::group::DhGroup;
-use wavekey::crypto::hmac::{hmac_sha256, mac_eq};
 use wavekey::crypto::ot::{OtReceiver, OtSender};
-
-const ECC_BLOCK: usize = 127;
-const NONCE_LEN: usize = 16;
 
 fn config() -> AgreementConfig {
     AgreementConfig { use_tiny_group: true, tau: 10.0, ..Default::default() }
@@ -59,85 +54,6 @@ fn random_pairs(l_s: usize, l_b: usize, rng: &mut StdRng) -> Vec<(Vec<bool>, Vec
 
 fn payload_pairs(pairs: &[(Vec<bool>, Vec<bool>)]) -> Vec<(Vec<u8>, Vec<u8>)> {
     pairs.iter().map(|(a, b)| (pack_bits(a), pack_bits(b))).collect()
-}
-
-struct RefOutcome {
-    key: Vec<u8>,
-    preliminary_mismatch_bits: usize,
-}
-
-/// The pre-refactor monolith, key logic only (benign channel, no clocks).
-fn reference_agreement(
-    s_m: &[bool],
-    s_r: &[bool],
-    config: &AgreementConfig,
-    rng_mobile: &mut StdRng,
-    rng_server: &mut StdRng,
-) -> Result<RefOutcome, AgreementError> {
-    let tiny;
-    let group: &DhGroup = if config.use_tiny_group {
-        tiny = DhGroup::tiny_test_group();
-        &tiny
-    } else {
-        DhGroup::modp_1024_shared()
-    };
-    let l_s = s_m.len();
-    let l_b = config.key_len_bits.div_ceil(2 * l_s);
-
-    let x_pairs = random_pairs(l_s, l_b, rng_mobile);
-    let (mobile_sender, ma_m) = OtSender::start(group, payload_pairs(&x_pairs), rng_mobile);
-    let y_pairs = random_pairs(l_s, l_b, rng_server);
-    let (server_sender, ma_r) = OtSender::start(group, payload_pairs(&y_pairs), rng_server);
-
-    let (mobile_receiver, mb_m) =
-        OtReceiver::respond(group, s_m, &ma_r, rng_mobile).expect("benign M_A");
-    let (server_receiver, mb_r) =
-        OtReceiver::respond(group, s_r, &ma_m, rng_server).expect("benign M_A");
-
-    let me_m = mobile_sender.encrypt(group, &mb_r).expect("benign M_B");
-    let me_r = server_sender.encrypt(group, &mb_m).expect("benign M_B");
-
-    let y_received = mobile_receiver.decrypt(group, &me_r).expect("benign M_E");
-    let mut k_m: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
-    for i in 0..l_s {
-        let own = if s_m[i] { &x_pairs[i].1 } else { &x_pairs[i].0 };
-        k_m.extend_from_slice(own);
-        k_m.extend(unpack_bits(&y_received[i], l_b));
-    }
-    let x_received = server_receiver.decrypt(group, &me_m).expect("benign M_E");
-    let mut k_r: Vec<bool> = Vec::with_capacity(2 * l_s * l_b);
-    for i in 0..l_s {
-        k_r.extend(unpack_bits(&x_received[i], l_b));
-        let own = if s_r[i] { &y_pairs[i].1 } else { &y_pairs[i].0 };
-        k_r.extend_from_slice(own);
-    }
-    let preliminary_mismatch_bits = hamming_distance(&k_m, &k_r);
-
-    let k_len = 2 * l_s * l_b;
-    let blocks = k_len.div_ceil(ECC_BLOCK);
-    let bch = Bch::new(config.bch_t).expect("valid t");
-    let co = CodeOffset::new(bch);
-    let k_m_inter = interleave(&k_m, blocks, ECC_BLOCK);
-    let helper = co.commit(&k_m_inter, rng_mobile);
-    let nonce: [u8; NONCE_LEN] = {
-        let mut n = [0u8; NONCE_LEN];
-        rng_mobile.fill(&mut n);
-        n
-    };
-
-    let k_r_inter = interleave(&k_r, blocks, ECC_BLOCK);
-    let Some(recovered_inter) = co.reconcile(&k_r_inter, &helper, blocks * ECC_BLOCK) else {
-        return Err(AgreementError::ReconciliationFailed);
-    };
-    let k_server = deinterleave(&recovered_inter, blocks, ECC_BLOCK, k_len);
-    let server_key = pack_bits(&k_server[..config.key_len_bits.min(k_server.len())]);
-    let response = hmac_sha256(&server_key, &nonce);
-
-    let key = pack_bits(&k_m[..config.key_len_bits.min(k_m.len())]);
-    if !mac_eq(&hmac_sha256(&key, &nonce), &response) {
-        return Err(AgreementError::ConfirmationFailed);
-    }
-    Ok(RefOutcome { key, preliminary_mismatch_bits })
 }
 
 /// The next few draws of two RNGs must coincide — the observable
@@ -208,6 +124,17 @@ fn driver_matches_monolith_on_modp_1024() {
     differential_session(&s_m, &s_m, &cfg, 50);
     let s_r = flip_bits(&s_m, 1);
     differential_session(&s_m, &s_r, &cfg, 51);
+}
+
+#[test]
+fn driver_matches_monolith_on_the_fleet_group() {
+    // WAVEKEY-1024: the batch executor takes the Crandall fold kernels
+    // while the oracle's scalar calls stay on generic Montgomery.
+    let cfg = AgreementConfig { fleet_group: true, tau: 10.0, ..Default::default() };
+    let s_m = random_seed(48, 7150);
+    differential_session(&s_m, &s_m, &cfg, 60);
+    let s_r = flip_bits(&s_m, 2);
+    differential_session(&s_m, &s_r, &cfg, 61);
 }
 
 #[test]
